@@ -138,6 +138,14 @@ where
         }
     }
 
+    /// Iterates the watched detectors mutably in id order, starting at the
+    /// first watched id `>= from` — the resumable sibling of
+    /// [`Self::for_each_mut`], for callers that walk the watch set in
+    /// bounded chunks.
+    pub fn range_mut(&mut self, from: ProcessId) -> impl Iterator<Item = (ProcessId, &mut D)> {
+        self.detectors.range_mut(from..).map(|(&p, d)| (p, d))
+    }
+
     /// The full accrual output `H(q, now)`: every watched process and its
     /// current suspicion level, in id order.
     pub fn snapshot(&mut self, now: Timestamp) -> Vec<(ProcessId, SuspicionLevel)> {

@@ -77,7 +77,7 @@ impl Error for RuntimeError {}
 pub enum EngineError {
     /// The underlying transport failed.
     Transport(TransportError),
-    /// A watch was refused because the target shard's snapshot bank is full.
+    /// A watch was refused because the target shard's row table is full.
     Capacity(ShardCapacityError),
     /// The operation requires the engine to be stopped, but workers are
     /// running (e.g. `watch` after `start`).

@@ -11,12 +11,13 @@
 //! # Architecture
 //!
 //! - **Dump path**: [`Checkpointer::checkpoint`] reads each shard's
-//!   published epoch snapshot through
-//!   [`SnapshotReader`](crate::shard::SnapshotReader) — the double-buffered
-//!   seqlocked banks the tick writer publishes into. The dumper therefore
-//!   never touches worker-owned detector state and runs entirely off the
-//!   hot path; workers pay nothing beyond the durable columns they already
-//!   publish per tick.
+//!   published row table through
+//!   [`SnapshotReader`](crate::shard::SnapshotReader), one per-row
+//!   seqlocked durable record at a time. The dumper therefore never
+//!   touches worker-owned detector state and runs entirely off the hot
+//!   path; workers pay nothing beyond the durable words they already
+//!   publish with each row, and a dump never restarts because rows were
+//!   refreshed while it ran.
 //! - **Format**: one *segment* per shard (length-prefixed record table,
 //!   CRC-32 trailer) plus a *manifest* binding the segment set to a
 //!   generation and epoch. Every file is installed atomically by the
@@ -815,7 +816,7 @@ struct PersistMetrics {
 
 /// Dumps and restores checkpoint generations through a [`SegmentSink`].
 ///
-/// The dump side reads only published epoch snapshots (via
+/// The dump side reads only published row tables (via
 /// [`SnapshotReader`]); the restore side walks manifest generations
 /// newest-first and never imports bytes that fail their checksum.
 pub struct Checkpointer<S> {
@@ -1102,7 +1103,7 @@ impl<S: SegmentSink> Checkpointer<S> {
 /// A background thread checkpointing a [`SnapshotReader`] on a fixed
 /// cadence — the FreeRunning-mode counterpart of calling
 /// [`checkpoint`](crate::engine::ParallelShardEngine::checkpoint)
-/// between Lockstep ticks. Reads go through the epoch snapshots only, so
+/// between Lockstep ticks. Reads go through the row tables only, so
 /// the daemon never contends with intake or workers.
 pub struct CheckpointDaemon<S> {
     stop: Arc<AtomicBool>,

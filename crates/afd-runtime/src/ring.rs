@@ -4,7 +4,7 @@
 //! decoded heartbeats from one intake thread to one worker thread per
 //! shard. Each route is a [`heartbeat_ring`]: a fixed-capacity ring of
 //! atomic slots with the same plain-store-plus-fence discipline as the
-//! epoch snapshots in [`shard`](crate::shard) — each slot is guarded by a
+//! row tables in [`shard`](crate::shard) — each slot is guarded by a
 //! per-slot seqlock word, the producer publishes by a release store of
 //! `tail`, and the consumer validates its reads against the slot seqlock
 //! before claiming the entry. No unsafe code, no locks.

@@ -8,24 +8,46 @@
 //! `N` shards (hash of the [`ProcessId`]), drains the transport **once**
 //! per [`tick`](ShardedMonitor::tick), dispatches decoded heartbeats to
 //! shards in per-shard batches, and then *publishes* each shard's
-//! suspicion levels into a double-buffered epoch snapshot that
-//! [`SnapshotReader`]s consume without taking any lock — readers never
-//! block intake, and intake never blocks readers.
+//! suspicion levels into a row table that [`SnapshotReader`]s consume
+//! without taking any lock — readers never block intake, and intake
+//! never blocks readers.
 //!
-//! # Epoch snapshots
+//! # The row table
 //!
-//! Each shard owns a [`ShardCell`]: two banks of atomics (peer ids and
-//! suspicion levels as `f64` bits) plus a `front` selector. The tick
-//! writer fills the *back* bank under a seqlock word (odd while writing),
-//! then flips `front`. Readers load `front`, verify the seqlock word is
-//! even and unchanged around their reads, and retry on a straddle. The
-//! writer is wait-free (it never observes readers); readers are
-//! obstruction-free (they retry only if a publish overlaps their read).
-//! Everything is plain atomics — no locks, no unsafe code.
+//! Each shard owns one [`ShardCell`], rewritten in place by its single
+//! writer: a peers column (ascending ids) that changes only when
+//! membership does, a dense column of levels (`f64` bits), and one
+//! durable record per slot (the seven checkpoint words behind a per-row
+//! seqlock word). A membership seqlock guards the peers column; each
+//! row's version guards its record; a level is one word. So a point
+//! read is one binary search plus one load, and a bulk reader (a full
+//! snapshot, a checkpoint dump) is consistent *per row* and restarts
+//! only if membership changes under it — never because rows were
+//! refreshed meanwhile, however often that happens. Everything is plain
+//! atomics — no locks, no RMWs, no unsafe code.
 //!
-//! Published levels are as of the last tick, so a reader's view lags real
-//! time by at most one tick interval; callers that need exact-`now`
-//! values use the `&mut` paths ([`ShardedMonitor::level`] /
+//! # Publishing: full, dirty flush, refresh sweep
+//!
+//! [`tick`](ShardedMonitor::tick) (and a lockstep engine epoch) writes
+//! every row at one `now`, exactly as a full-table snapshot would. A
+//! free-running [`ParallelShardEngine`](crate::engine::ParallelShardEngine)
+//! worker instead publishes evidence, not tables: each `publish_every`
+//! epoch it first *flushes* the rows accepted since the last epoch —
+//! O(changed peers), so a heartbeat is visible about one epoch after it
+//! was accepted — and then *sweeps* the silent rows oldest-first in
+//! bounded steps, draining its rings between steps and skipping rows
+//! already written this epoch, so a silent peer's level keeps accruing.
+//! (A table small enough to walk in well under an epoch is published
+//! whole instead; the worker chooses by row count.) Every row write evaluates the detector at a fresh clock reading, so
+//! no row's evaluation time ever goes backwards and a level falls only
+//! after an accepted heartbeat.
+//!
+//! [`SnapshotReader::published_at`] is a per-shard watermark: every
+//! published row was evaluated at or after it. After a tick it is the
+//! tick time. In free-running mode it trails real time by about one
+//! sweep pass — a silent row is at most that stale — while rows with
+//! fresh evidence are at most one epoch stale. Callers that need
+//! exact-`now` values use the `&mut` paths ([`ShardedMonitor::level`] /
 //! [`ShardedMonitor::snapshot`]), which evaluate detectors directly.
 //!
 //! # Equivalence
@@ -38,7 +60,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
@@ -75,7 +97,7 @@ pub(crate) fn shard_index(process: ProcessId, shards: usize) -> usize {
 pub struct ShardConfig {
     /// Number of shards the watch set is partitioned into (floored at 1).
     pub shards: usize,
-    /// Maximum watched processes per shard. Snapshot banks are fixed-size
+    /// Maximum watched processes per shard. Row tables are fixed-size
     /// atomic arrays (they are shared with lock-free readers and cannot
     /// grow), so capacity is declared up front; [`ShardedMonitor::watch`]
     /// fails with [`ShardCapacityError`] when a shard is full.
@@ -91,7 +113,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// A shard refused a new watch because its snapshot bank is full.
+/// A shard refused a new watch because its row table is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCapacityError {
     /// The shard that is at capacity.
@@ -149,8 +171,8 @@ pub(crate) const DURABLE_HAS_LAST_HB: u64 = 1 << 1;
 pub(crate) const DURABLE_HAS_SEQ: u64 = 1 << 2;
 
 /// The durable state of one published peer, flattened to seven `u64`
-/// words so it can cross the epoch-snapshot banks as plain atomics (and
-/// land byte-for-byte in a checkpoint segment record).
+/// words so it can cross the row table as plain atomics (and land
+/// byte-for-byte in a checkpoint segment record).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PeerDurable {
     /// `DURABLE_*` presence bits.
@@ -230,222 +252,268 @@ impl PeerDurable {
             None
         }
     }
-}
 
-/// The durable columns of a [`Bank`]: per-slot detector seeds and replay
-/// state, guarded by the same seqlock as the (peer, level) table so a
-/// checkpointer reads a view consistent with the published epoch — and
-/// never touches worker-owned detector state.
-struct DurableBank {
-    flags: Vec<AtomicU64>,
-    highest_seq: Vec<AtomicU64>,
-    last_hb: Vec<AtomicU64>,
-    samples: Vec<AtomicU64>,
-    mean_bits: Vec<AtomicU64>,
-    var_bits: Vec<AtomicU64>,
-    heartbeats_seen: Vec<AtomicU64>,
-}
-
-impl DurableBank {
-    fn new(slots: usize) -> Self {
-        let col = || (0..slots).map(|_| AtomicU64::new(0)).collect();
-        DurableBank {
-            flags: col(),
-            highest_seq: col(),
-            last_hb: col(),
-            samples: col(),
-            mean_bits: col(),
-            var_bits: col(),
-            heartbeats_seen: col(),
-        }
+    /// The record as seven words, in field order (the row-table layout).
+    fn words(&self) -> [u64; 7] {
+        [
+            self.flags,
+            self.highest_seq,
+            self.last_hb_nanos,
+            self.samples,
+            self.mean_bits,
+            self.var_bits,
+            self.heartbeats_seen,
+        ]
     }
 
-    /// Plain store of one record; callers hold the bank's seqlock odd.
-    fn store(&self, i: usize, d: &PeerDurable) {
-        self.flags[i].store(d.flags, Ordering::Relaxed);
-        self.highest_seq[i].store(d.highest_seq, Ordering::Relaxed);
-        self.last_hb[i].store(d.last_hb_nanos, Ordering::Relaxed);
-        self.samples[i].store(d.samples, Ordering::Relaxed);
-        self.mean_bits[i].store(d.mean_bits, Ordering::Relaxed);
-        self.var_bits[i].store(d.var_bits, Ordering::Relaxed);
-        self.heartbeats_seen[i].store(d.heartbeats_seen, Ordering::Relaxed);
-    }
-
-    /// Plain load of one record; callers re-verify the seqlock afterwards.
-    fn load(&self, i: usize) -> PeerDurable {
+    /// The inverse of [`words`](Self::words).
+    fn from_words(w: [u64; 7]) -> Self {
         PeerDurable {
-            flags: self.flags[i].load(Ordering::Relaxed),
-            highest_seq: self.highest_seq[i].load(Ordering::Relaxed),
-            last_hb_nanos: self.last_hb[i].load(Ordering::Relaxed),
-            samples: self.samples[i].load(Ordering::Relaxed),
-            mean_bits: self.mean_bits[i].load(Ordering::Relaxed),
-            var_bits: self.var_bits[i].load(Ordering::Relaxed),
-            heartbeats_seen: self.heartbeats_seen[i].load(Ordering::Relaxed),
+            flags: w[0],
+            highest_seq: w[1],
+            last_hb_nanos: w[2],
+            samples: w[3],
+            mean_bits: w[4],
+            var_bits: w[5],
+            heartbeats_seen: w[6],
         }
     }
 }
 
-/// One bank of a [`ShardCell`]: a published (peer, level) table plus the
-/// seqlock word guarding it.
-struct Bank {
-    /// Seqlock: odd while the writer fills this bank.
-    wseq: AtomicU64,
-    /// Number of live slots.
-    len: AtomicUsize,
-    /// Publish timestamp, in nanoseconds.
-    published_at: AtomicU64,
-    /// Peer ids, ascending (service snapshots iterate a `BTreeMap`), so
-    /// readers can binary-search.
-    peers: Vec<AtomicU64>,
-    /// Suspicion levels as `f64` bit patterns, parallel to `peers`.
-    levels: Vec<AtomicU64>,
-    /// Durable per-peer columns, parallel to `peers`.
-    durable: DurableBank,
+/// One published durable record: the seven [`PeerDurable`] words behind
+/// a per-row seqlock word, laid out as one cache line so a row write
+/// touches one line rather than seven parallel columns.
+#[repr(align(64))]
+struct Row {
+    /// Seqlock: odd while the writer rewrites this row.
+    version: AtomicU64,
+    /// The seven [`PeerDurable`] words, in [`PeerDurable::words`] order.
+    durable: [AtomicU64; 7],
 }
 
-impl Bank {
-    fn new(slots: usize) -> Self {
-        Bank {
-            wseq: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            published_at: AtomicU64::new(0),
-            peers: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            levels: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            durable: DurableBank::new(slots),
+impl Row {
+    fn new() -> Self {
+        Row {
+            version: AtomicU64::new(0),
+            durable: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Rewrites the record in place. Single writer: the shard's owner.
+    fn store(&self, durable: &PeerDurable) {
+        // Seqlock enter: mark odd, then fence so the word writes cannot be
+        // observed before the mark.
+        let v = self.version.load(Ordering::Relaxed);
+        self.version.store(v.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (slot, word) in self.durable.iter().zip(durable.words()) {
+            slot.store(word, Ordering::Relaxed);
+        }
+        // Seqlock exit (even again): release-orders every word write
+        // before the mark readers synchronize with.
+        self.version.store(v.wrapping_add(2), Ordering::Release);
+    }
+
+    /// A consistent copy of the durable record. Retries only while a
+    /// write of *this* row straddles the read, so a bulk reader never
+    /// waits on the rest of the table being rewritten.
+    fn load_durable(&self) -> PeerDurable {
+        loop {
+            let v1 = self.version.load(Ordering::Acquire);
+            if v1 & 1 == 0 {
+                let words = std::array::from_fn(|k| self.durable[k].load(Ordering::Relaxed));
+                // Acquire fence keeps the word loads above the re-check.
+                fence(Ordering::Acquire);
+                if self.version.load(Ordering::Relaxed) == v1 {
+                    return PeerDurable::from_words(words);
+                }
+            }
+            std::hint::spin_loop();
         }
     }
 }
 
-/// A double-buffered epoch snapshot: the tick writer publishes into the
-/// back bank and flips `front`; readers verify the seqlock around their
-/// reads and retry on a straddle.
+/// The watermark word, on a cache line of its own: the owner stores it
+/// after every sweep step, and it must not evict the `layout` word that
+/// every point read loads.
+#[repr(align(64))]
+struct Watermark(AtomicU64);
+
+/// A shard's published table, rewritten in place: per slot a peer id, a
+/// suspicion level and a durable record. The peers column (ascending
+/// ids, for binary search) changes only when membership does.
+///
+/// Two kinds of seqlock guard it. The `layout` word covers the peers
+/// column and the row count; it moves only when the owner rewrites
+/// membership, so a reader of any size retries at most once per
+/// watch-set change. Each row's own `version` word covers that row's
+/// durable record, so a bulk reader is consistent per row and never
+/// restarts because some other row was refreshed. A level is a single
+/// word and needs no version. The levels live in a dense column of
+/// their own: point reads hit it at random, and eight levels to a cache
+/// line keep that footprint an eighth of the rows'. The `watermark` is a
+/// lower bound on the evaluation time of every row.
 pub(crate) struct ShardCell {
-    front: AtomicUsize,
-    banks: [Bank; 2],
+    /// Seqlock over `peers` and `len`: odd while membership is rewritten.
+    layout: AtomicU64,
+    /// Number of live rows.
+    len: AtomicUsize,
+    /// Every published row was evaluated at or after this time (nanos).
+    watermark: Watermark,
+    /// Peer ids, ascending (the service iterates a `BTreeMap`).
+    peers: Vec<AtomicU32>,
+    /// Suspicion levels as `f64` bits, parallel to `peers`.
+    levels: Vec<AtomicU64>,
+    /// Durable records, parallel to `peers`.
+    rows: Vec<Row>,
 }
 
 impl ShardCell {
     pub(crate) fn new(slots: usize) -> Self {
         ShardCell {
-            front: AtomicUsize::new(0),
-            banks: [Bank::new(slots), Bank::new(slots)],
+            layout: AtomicU64::new(0),
+            len: AtomicUsize::new(0),
+            watermark: Watermark(AtomicU64::new(0)),
+            peers: (0..slots).map(|_| AtomicU32::new(0)).collect(),
+            levels: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            rows: (0..slots).map(|_| Row::new()).collect(),
         }
     }
 
-    /// Publishes `entries` (ascending by id, at most `slots` long) as the
-    /// new front bank, together with the parallel `durable` records.
-    /// Single writer: callers hold `&mut ShardedMonitor`.
-    fn publish(
-        &self,
-        entries: &[(ProcessId, SuspicionLevel)],
-        durable: &[PeerDurable],
-        at: Timestamp,
-    ) {
-        let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
-        let bank = &self.banks[back];
-        // Seqlock enter: mark odd, then fence so slot writes cannot be
-        // observed before the mark. Plain stores suffice — the tick
-        // writer is the only writer.
-        let s = bank.wseq.load(Ordering::Relaxed);
-        bank.wseq.store(s.wrapping_add(1), Ordering::Relaxed);
+    fn capacity(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Opens a membership rewrite; pass the result to
+    /// [`end_layout`](Self::end_layout). Single writer.
+    fn begin_layout(&self) -> u64 {
+        let s = self.layout.load(Ordering::Relaxed);
+        self.layout.store(s.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
-        let n = entries.len().min(bank.peers.len());
-        let blank = PeerDurable::default();
-        for (i, ((slot_p, slot_l), (p, lvl))) in
-            bank.peers.iter().zip(&bank.levels).zip(entries).enumerate()
-        {
-            slot_p.store(u64::from(p.as_u32()), Ordering::Relaxed);
-            slot_l.store(lvl.value().to_bits(), Ordering::Relaxed);
-            bank.durable.store(i, durable.get(i).unwrap_or(&blank));
-        }
-        bank.len.store(n, Ordering::Relaxed);
-        bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
-        // Seqlock exit (even again): release-orders every slot write
-        // before the mark readers synchronize with.
-        bank.wseq.store(s.wrapping_add(2), Ordering::Release);
-        self.front.store(back, Ordering::Release);
+        s
     }
 
-    /// Runs `read` against a consistent front bank, retrying while a
-    /// publish straddles the attempt.
-    fn with_consistent<R>(&self, mut read: impl FnMut(&Bank, usize) -> R) -> R {
-        loop {
-            let f = self.front.load(Ordering::Acquire) & 1;
-            let bank = &self.banks[f];
-            let s1 = bank.wseq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
+    /// Writes slot `i` of the peers column; callers hold the layout odd.
+    fn set_peer(&self, i: usize, process: ProcessId) {
+        self.peers[i].store(process.as_u32(), Ordering::Relaxed);
+    }
+
+    /// Closes a membership rewrite with `len` live rows.
+    fn end_layout(&self, s: u64, len: usize) {
+        self.len.store(len, Ordering::Relaxed);
+        self.layout.store(s.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Rewrites slot `i` from detector `d` evaluated at `now`: its level
+    /// word, then its durable record (seed plus replay state `highest`).
+    fn write_row<D: AccrualFailureDetector>(
+        &self,
+        i: usize,
+        d: &mut D,
+        highest: Option<u64>,
+        now: Timestamp,
+    ) {
+        let level = d.suspicion_level(now);
+        self.levels[i].store(level.value().to_bits(), Ordering::Relaxed);
+        self.rows[i].store(&PeerDurable::from_state(d.save_seed(), highest));
+    }
+
+    /// Publishes the evaluation-time lower bound, after the row writes
+    /// it covers.
+    fn set_watermark(&self, at: Timestamp) {
+        self.watermark.0.store(at.as_nanos(), Ordering::Release);
+    }
+
+    fn watermark(&self) -> Timestamp {
+        Timestamp::from_nanos(self.watermark.0.load(Ordering::Acquire))
+    }
+
+    /// The id in slot `i` of the peers column.
+    fn peer(&self, i: usize) -> ProcessId {
+        ProcessId::new(self.peers[i].load(Ordering::Relaxed))
+    }
+
+    /// Binary-searches the first `len` peers for `process`.
+    fn position(&self, process: ProcessId, len: usize) -> Option<usize> {
+        let target = process.as_u32();
+        let mut lo = 0usize;
+        let mut hi = len;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.peers[mid].load(Ordering::Relaxed) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            let len = bank.len.load(Ordering::Relaxed).min(bank.peers.len());
-            let out = read(bank, len);
-            // Acquire fence keeps the slot loads above the re-check.
-            fence(Ordering::Acquire);
-            if bank.wseq.load(Ordering::Relaxed) == s1 {
-                return out;
+        }
+        (lo < len && self.peers[lo].load(Ordering::Relaxed) == target).then_some(lo)
+    }
+
+    /// Runs `read` against a consistent peers column (and its length),
+    /// retrying only while a membership rewrite straddles the attempt.
+    fn with_layout<R>(&self, mut read: impl FnMut(usize) -> R) -> R {
+        loop {
+            let s1 = self.layout.load(Ordering::Acquire);
+            if s1 & 1 == 0 {
+                let len = self.len.load(Ordering::Relaxed).min(self.capacity());
+                let out = read(len);
+                // Acquire fence keeps the column loads above the re-check.
+                fence(Ordering::Acquire);
+                if self.layout.load(Ordering::Relaxed) == s1 {
+                    return out;
+                }
             }
             std::hint::spin_loop();
         }
     }
 
-    /// Binary-searches the published table for `process`.
+    /// The published level of `process`: one binary search plus one word.
     fn lookup(&self, process: ProcessId) -> Option<SuspicionLevel> {
-        let target = u64::from(process.as_u32());
-        self.with_consistent(|bank, len| {
-            let mut lo = 0usize;
-            let mut hi = len;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if bank.peers[mid].load(Ordering::Relaxed) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            if lo < len && bank.peers[lo].load(Ordering::Relaxed) == target {
-                let bits = bank.levels[lo].load(Ordering::Relaxed);
-                Some(SuspicionLevel::clamped(f64::from_bits(bits)))
-            } else {
-                None
-            }
+        self.with_layout(|len| {
+            self.position(process, len).map(|i| {
+                let bits = self.levels[i].load(Ordering::Relaxed);
+                SuspicionLevel::clamped(f64::from_bits(bits))
+            })
         })
     }
 
-    /// Copies the whole published table (ascending by id).
+    /// Copies every published (peer, level) row, ascending by id, and
+    /// returns the watermark read before the copy: each copied level was
+    /// evaluated at or after it.
     fn read_all(&self, out: &mut Vec<(ProcessId, SuspicionLevel)>) -> Timestamp {
-        self.with_consistent(|bank, len| {
+        let at = self.watermark();
+        self.with_layout(|len| {
             out.clear();
-            for (slot_p, slot_l) in bank.peers.iter().zip(&bank.levels).take(len) {
-                let p = ProcessId::new(slot_p.load(Ordering::Relaxed) as u32);
-                let lvl = SuspicionLevel::clamped(f64::from_bits(slot_l.load(Ordering::Relaxed)));
-                out.push((p, lvl));
+            for (i, level) in self.levels.iter().take(len).enumerate() {
+                let bits = level.load(Ordering::Relaxed);
+                out.push((self.peer(i), SuspicionLevel::clamped(f64::from_bits(bits))));
             }
-            Timestamp::from_nanos(bank.published_at.load(Ordering::Relaxed))
-        })
+        });
+        at
     }
 
-    /// Copies the whole published durable table (ascending by id),
-    /// returning the epoch it was published at. Consistency comes from
-    /// the same seqlock as [`read_all`](Self::read_all): the records are
-    /// exactly those of one publish, never a mix of two epochs.
+    /// Copies every published durable record (ascending by id), each one
+    /// consistent within its row, and returns the watermark read before
+    /// the copy.
     pub(crate) fn read_durable(&self, out: &mut Vec<(ProcessId, PeerDurable)>) -> Timestamp {
-        self.with_consistent(|bank, len| {
+        let at = self.watermark();
+        self.with_layout(|len| {
             out.clear();
-            for (i, slot_p) in bank.peers.iter().take(len).enumerate() {
-                let p = ProcessId::new(slot_p.load(Ordering::Relaxed) as u32);
-                out.push((p, bank.durable.load(i)));
+            for (i, row) in self.rows.iter().take(len).enumerate() {
+                out.push((self.peer(i), row.load_durable()));
             }
-            Timestamp::from_nanos(bank.published_at.load(Ordering::Relaxed))
-        })
+        });
+        at
     }
 }
 
-/// A cloneable, lock-free view of the last published epoch snapshots.
+/// A cloneable, lock-free view of the shards' published row tables.
 ///
-/// Readers never block the tick writer and never take a lock; each read
-/// retries only if it overlaps a publish of the same shard (two flips in
-/// one read — the writer alternates banks, so a single publish never
-/// invalidates the bank a reader is on).
+/// Readers never block the shard writers and never take a lock. A point
+/// read ([`level`](Self::level)) retries only if a membership rewrite
+/// overlaps it; a bulk read ([`snapshot`](Self::snapshot), a checkpoint
+/// dump) is consistent per row and likewise restarts only on a
+/// membership rewrite, never because rows were refreshed meanwhile.
 #[derive(Clone)]
 pub struct SnapshotReader {
     cells: Arc<Vec<Arc<ShardCell>>>,
@@ -462,13 +530,13 @@ impl fmt::Debug for SnapshotReader {
 impl SnapshotReader {
     /// Builds a reader over `cells` — shared with
     /// [`ParallelShardEngine`](crate::engine::ParallelShardEngine), whose
-    /// workers publish into the same double-buffered cells.
+    /// workers publish into the same row tables.
     pub(crate) fn from_cells(cells: Arc<Vec<Arc<ShardCell>>>) -> Self {
         SnapshotReader { cells }
     }
 
-    /// The published suspicion level of `process`, as of that shard's
-    /// last tick (`None` if unwatched at publish time).
+    /// The published suspicion level of `process` (`None` if it was not
+    /// watched at that shard's last membership publish).
     pub fn level(&self, process: ProcessId) -> Option<SuspicionLevel> {
         let idx = shard_index(process, self.cells.len());
         self.cells.get(idx)?.lookup(process)
@@ -488,14 +556,13 @@ impl SnapshotReader {
         out
     }
 
-    /// The oldest publish timestamp across shards: every published level
-    /// is at least this fresh. `Timestamp::ZERO` before the first tick.
+    /// The oldest shard watermark: every published level was evaluated
+    /// at or after this time. `Timestamp::ZERO` before the first publish.
+    /// Reads one word per shard.
     pub fn published_at(&self) -> Timestamp {
-        // lint:allow(no-alloc-in-hot-path, query-path scratch; not on the frame intake path)
-        let mut scratch = Vec::new();
         self.cells
             .iter()
-            .map(|cell| cell.read_all(&mut scratch))
+            .map(|cell| cell.watermark())
             .min()
             .unwrap_or(Timestamp::ZERO)
     }
@@ -506,11 +573,11 @@ impl SnapshotReader {
     }
 
     /// Copies shard `shard`'s published durable table into `out`,
-    /// returning its publish epoch (`None` for an out-of-range shard).
+    /// returning its watermark (`None` for an out-of-range shard).
     ///
     /// This is the accessor the checkpointer dumps through: it reads only
-    /// the double-buffered epoch banks, so the dump never touches
-    /// worker-owned detector state and runs entirely off the hot path.
+    /// the published row table, so the dump never touches worker-owned
+    /// detector state and runs entirely off the hot path.
     pub(crate) fn durable_shard(
         &self,
         shard: usize,
@@ -520,39 +587,115 @@ impl SnapshotReader {
     }
 }
 
-/// One shard: a detector service plus its freshness state and counters.
-/// Crate-visible so [`ParallelShardEngine`](crate::engine::ParallelShardEngine)
-/// workers can own shards and run the *same* accept/publish code the
+/// Worker-private bookkeeping for one published row.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowMark {
+    /// The publish epoch that last wrote the row.
+    written: u64,
+    /// Start time (nanos) of the epoch whose publish last visited the
+    /// row in row order (a full publish or the refresh sweep). Visits run
+    /// in row order and epochs in time order, so from the sweep cursor
+    /// onwards, cyclically, these never decrease.
+    visited_at: u64,
+}
+
+/// Rows one shard's publishes wrote, cumulative. `dirty / epochs` is
+/// the mean number of changed peers per epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PublishRows {
+    /// Publish epochs begun (full publishes and dirty flushes).
+    pub(crate) epochs: u64,
+    /// Rows written by dirty flushes: peers accepted since the epoch
+    /// before.
+    pub(crate) dirty: u64,
+    /// Rows written by the refresh sweep and by full publishes.
+    pub(crate) sweep: u64,
+}
+
+/// A dirty flush larger than `1/FULL_FLUSH_SHARE` of the table (and than
+/// one sweep chunk) publishes the whole table instead: one in-order walk
+/// beats that many point lookups.
+const FULL_FLUSH_SHARE: usize = 8;
+
+/// Rows one refresh-sweep step visits in a free-running worker before
+/// it drains its rings again (about 70 µs of φ evaluation).
+pub(crate) const SWEEP_CHUNK: usize = 256;
+
+/// One shard: a detector service plus its freshness state, counters and
+/// published row table. Crate-visible so
+/// [`ParallelShardEngine`](crate::engine::ParallelShardEngine) workers
+/// can own shards and run the *same* accept/publish code the
 /// single-threaded monitor runs — equivalence by construction.
+///
+/// Publishing comes in three forms. [`publish`](Self::publish) writes
+/// every row at one `now` (ticks, lockstep epochs, restores).
+/// [`flush`](Self::flush) begins a free-running epoch by writing only
+/// the rows accepted since the last one. [`sweep`](Self::sweep) then
+/// refreshes silent rows oldest-first, a bounded step at a time, skipping
+/// rows already written in the current epoch.
 pub(crate) struct Shard<D> {
     pub(crate) service: MonitoringService<D, DetectorFactory<D>>,
     pub(crate) highest_seq: BTreeMap<ProcessId, u64>,
     pub(crate) stats: MonitorStats,
     pub(crate) cell: Arc<ShardCell>,
-    /// Reusable publish buffer: (peer, level) rows for the epoch banks.
-    snap_scratch: Vec<(ProcessId, SuspicionLevel)>,
-    /// Reusable publish buffer: parallel durable rows.
-    durable_scratch: Vec<PeerDurable>,
+    pub(crate) rows_written: PublishRows,
+    /// Live rows in the published table.
+    rows: usize,
+    /// The watch set changed since the peers column was written.
+    layout_stale: bool,
+    /// Peers accepted since the last epoch began (with repeats);
+    /// preallocated to the table's capacity and never grown. Once full it
+    /// stops recording, and the next epoch publishes every row.
+    dirty: Vec<ProcessId>,
+    /// Per-row bookkeeping, parallel to the table.
+    marks: Vec<RowMark>,
+    epoch: u64,
+    epoch_at: Timestamp,
+    /// Next row the refresh sweep visits.
+    cursor: usize,
+    /// A refresh pass is under way.
+    sweeping: bool,
 }
 
 impl<D: AccrualFailureDetector> Shard<D> {
     /// Builds an empty shard publishing into `cell`.
     pub(crate) fn new(factory: DetectorFactory<D>, cell: Arc<ShardCell>) -> Self {
+        let slots = cell.capacity();
         Shard {
             service: MonitoringService::new(factory),
             highest_seq: BTreeMap::new(),
             stats: MonitorStats::default(),
             cell,
-            // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
-            snap_scratch: Vec::new(),
-            // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
-            durable_scratch: Vec::new(),
+            rows_written: PublishRows::default(),
+            rows: 0,
+            layout_stale: true,
+            dirty: Vec::with_capacity(slots),
+            marks: (0..slots).map(|_| RowMark::default()).collect(),
+            epoch: 0,
+            epoch_at: Timestamp::ZERO,
+            cursor: 0,
+            sweeping: false,
         }
+    }
+
+    /// Starts watching `process`; its row appears at the next publish.
+    pub(crate) fn watch(&mut self, process: ProcessId) -> bool {
+        let newly = self.service.watch(process);
+        self.layout_stale |= newly;
+        newly
+    }
+
+    /// Stops watching `process`; its row disappears at the next publish.
+    pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
+        let gone = self.service.unwatch(process);
+        self.layout_stale |= gone.is_some();
+        gone
     }
 
     /// Algorithm 4, lines 8–10 — the same accept path as
     /// [`RuntimeMonitor`](crate::monitor::RuntimeMonitor), against this
-    /// shard's own freshness map.
+    /// shard's own freshness map. An accepted heartbeat marks its row
+    /// dirty for the next [`flush`](Self::flush).
     pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
         if let Some(&highest) = self.highest_seq.get(&hb.sender) {
             match classify(hb.seq, highest) {
@@ -573,28 +716,144 @@ impl<D: AccrualFailureDetector> Shard<D> {
         }
         self.highest_seq.insert(hb.sender, hb.seq);
         self.stats.accepted += 1;
+        if self.dirty.len() < self.dirty.capacity() {
+            self.dirty.push(hb.sender);
+        }
         true
     }
 
-    /// Publishes the shard's levels *and* durable rows into its epoch
-    /// cell. The durable rows ride the same seqlocked publish, so a
-    /// checkpointer reading the cell gets detector seeds and replay state
-    /// consistent with the published levels — without ever borrowing the
-    /// (worker-owned) detectors themselves.
+    fn begin_epoch(&mut self, now: Timestamp) {
+        self.epoch += 1;
+        self.epoch_at = now;
+        self.rows_written.epochs += 1;
+    }
+
+    /// Publishes every row — level and durable record, both taken at
+    /// `now` — rewriting the peers column first if membership changed.
+    /// Each durable record rides its row's seqlock, so a checkpointer gets
+    /// every peer's seed and replay state as one consistent record
+    /// without ever borrowing the (worker-owned) detectors.
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        self.snap_scratch.clear();
-        self.durable_scratch.clear();
-        let snap = &mut self.snap_scratch;
-        let durable = &mut self.durable_scratch;
+        self.begin_epoch(now);
+        let cell = &*self.cell;
         let highest = &self.highest_seq;
+        let marks = &mut self.marks;
+        let epoch = self.epoch;
+        let layout = self.layout_stale.then(|| cell.begin_layout());
+        let capacity = cell.capacity();
+        let mut n = 0usize;
         self.service.for_each_mut(|p, d| {
-            snap.push((p, d.suspicion_level(now)));
-            durable.push(PeerDurable::from_state(
-                d.save_seed(),
-                highest.get(&p).copied(),
-            ));
+            if n < capacity {
+                if layout.is_some() {
+                    cell.set_peer(n, p);
+                }
+                cell.write_row(n, d, highest.get(&p).copied(), now);
+                marks[n] = RowMark {
+                    written: epoch,
+                    visited_at: now.as_nanos(),
+                };
+                n += 1;
+            }
         });
-        self.cell.publish(snap, durable, now);
+        if let Some(s) = layout {
+            cell.end_layout(s, n);
+        }
+        cell.set_watermark(now);
+        self.rows = n;
+        self.layout_stale = false;
+        self.dirty.clear();
+        self.cursor = 0;
+        self.sweeping = false;
+        self.rows_written.sweep += n as u64;
+    }
+
+    /// Begins a free-running epoch at `now`: writes the rows accepted
+    /// since the last epoch (O(changed peers)) and starts a refresh pass
+    /// if none is under way. Falls back to a full [`publish`](Self::publish)
+    /// when membership changed or the dirty set is a large share of the
+    /// table.
+    pub(crate) fn flush(&mut self, now: Timestamp) {
+        let full = self.dirty.len() == self.dirty.capacity();
+        let large = self.dirty.len() > (self.rows / FULL_FLUSH_SHARE).max(SWEEP_CHUNK);
+        if self.layout_stale || full || large {
+            self.publish(now);
+            return;
+        }
+        self.begin_epoch(now);
+        for &p in &self.dirty {
+            let Some(i) = self.cell.position(p, self.rows) else {
+                continue;
+            };
+            if self.marks[i].written == self.epoch {
+                continue; // a repeat: already written this epoch
+            }
+            let Some(d) = self.service.detector_mut(p) else {
+                continue;
+            };
+            self.cell
+                .write_row(i, d, self.highest_seq.get(&p).copied(), now);
+            self.marks[i].written = self.epoch;
+            self.rows_written.dirty += 1;
+        }
+        self.dirty.clear();
+        self.sweeping = true;
+    }
+
+    /// Live rows in the published table.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// `true` while a refresh pass has rows left to visit.
+    pub(crate) fn sweeping(&self) -> bool {
+        self.sweeping && !self.layout_stale
+    }
+
+    /// One refresh-sweep step: visits up to `budget` rows from the
+    /// cursor, re-evaluating at `now` each one not yet written in this
+    /// epoch, then advances the watermark. `now` must be a fresh clock
+    /// reading, so every row's evaluation times never go backwards.
+    /// Returns the rows written.
+    pub(crate) fn sweep(&mut self, now: Timestamp, budget: usize) -> usize {
+        if !self.sweeping() {
+            return 0;
+        }
+        let start = self.cursor;
+        let end = start.saturating_add(budget.max(1)).min(self.rows);
+        let cell = &*self.cell;
+        let highest = &self.highest_seq;
+        let (epoch, epoch_at) = (self.epoch, self.epoch_at.as_nanos());
+        let mut written = 0usize;
+        if start < end {
+            let rows = self.service.range_mut(cell.peer(start));
+            for (mark, (i, (p, d))) in self.marks[start..end]
+                .iter_mut()
+                .zip((start..end).zip(rows))
+            {
+                if mark.written != epoch {
+                    cell.write_row(i, d, highest.get(&p).copied(), now);
+                    mark.written = epoch;
+                    written += 1;
+                }
+                mark.visited_at = epoch_at;
+            }
+        }
+        if end >= self.rows {
+            self.cursor = 0;
+            self.sweeping = false;
+        } else {
+            self.cursor = end;
+        }
+        // The row at the cursor holds the oldest visit: rows after it
+        // were visited later in the previous pass, rows before it in
+        // this one, and every write since only made a row fresher.
+        let oldest = match self.marks.get(self.cursor) {
+            Some(mark) if self.rows > 0 => Timestamp::from_nanos(mark.visited_at),
+            _ => self.epoch_at,
+        };
+        cell.set_watermark(oldest);
+        self.rows_written.sweep += written as u64;
+        written
     }
 }
 
@@ -699,8 +958,8 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`ShardCapacityError`] if the target shard's snapshot bank
-    /// is full — published banks are fixed-size atomic arrays shared with
+    /// Returns [`ShardCapacityError`] if the target shard's row table
+    /// is full — published tables are fixed-size atomic arrays shared with
     /// readers and cannot grow.
     pub fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
         let idx = self.shard_of(process);
@@ -712,7 +971,7 @@ where
                 capacity: self.config.slots_per_shard,
             });
         }
-        Ok(shard.service.watch(process))
+        Ok(shard.watch(process))
     }
 
     /// Stops monitoring `process`. As with
@@ -722,11 +981,12 @@ where
     /// the next tick.
     pub fn unwatch(&mut self, process: ProcessId) -> Option<D> {
         let idx = self.shard_of(process);
-        self.shards[idx].service.unwatch(process)
+        self.shards[idx].unwatch(process)
     }
 
     /// Drains the transport once, dispatches decoded heartbeats to their
-    /// shards in batches, and publishes every shard's epoch snapshot.
+    /// shards in batches, and publishes every row of every shard at one
+    /// `now`.
     ///
     /// # Errors
     ///
@@ -827,12 +1087,12 @@ where
         }
     }
 
-    /// A cloneable lock-free reader over the published epoch snapshots.
+    /// A cloneable lock-free reader over the published row tables.
     pub fn reader(&self) -> SnapshotReader {
         self.reader.clone()
     }
 
-    /// Publishes a fresh epoch snapshot of every shard and dumps it as a
+    /// Publishes every row of every shard and dumps the tables as a
     /// new checkpoint generation through `ckpt`.
     ///
     /// This is the explicit Lockstep-style cadence; FreeRunning
@@ -1241,6 +1501,190 @@ mod tests {
         let (tx, mut mon, _clock) = rig(ShardConfig::default());
         drop(tx);
         assert_eq!(mon.tick(), Err(TransportError::Disconnected));
+    }
+
+    #[test]
+    fn published_at_reads_only_the_watermark_words() {
+        let (_tx, mut mon, clock) = rig(ShardConfig {
+            shards: 3,
+            slots_per_shard: 8,
+        });
+        for id in 1..=9 {
+            mon.watch(ProcessId::new(id)).unwrap();
+        }
+        clock.set(Timestamp::from_secs(5));
+        mon.tick().unwrap();
+        let reader = mon.reader();
+        // Hold every shard's membership seqlock odd, as a writer stalled
+        // mid-rewrite would: a reader that touched the tables would spin
+        // here forever, while the watermark stays one load per shard.
+        let held: Vec<u64> = reader.cells.iter().map(|c| c.begin_layout()).collect();
+        assert_eq!(reader.published_at(), Timestamp::from_secs(5));
+        for (cell, s) in reader.cells.iter().zip(held) {
+            let len = cell.len.load(Ordering::Relaxed);
+            cell.end_layout(s, len);
+        }
+        assert_eq!(reader.snapshot().len(), 9);
+    }
+
+    /// A detector whose level is the nanoseconds since its last heartbeat
+    /// (or since zero), so a published row names its own evaluation
+    /// time exactly: last heartbeat (from the durable words) + level.
+    #[derive(Default)]
+    struct NanosSinceHeartbeat {
+        last: Option<Timestamp>,
+        seen: u64,
+    }
+
+    impl AccrualFailureDetector for NanosSinceHeartbeat {
+        fn record_heartbeat(&mut self, arrival: Timestamp) {
+            self.last = Some(arrival);
+            self.seen += 1;
+        }
+
+        fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
+            let since = self.last.unwrap_or(Timestamp::ZERO);
+            SuspicionLevel::clamped(now.saturating_duration_since(since).as_nanos() as f64)
+        }
+
+        fn save_seed(&self) -> Option<DetectorSeed> {
+            Some(DetectorSeed {
+                last_heartbeat: self.last,
+                samples: 0,
+                mean: 0.0,
+                population_variance: 0.0,
+                heartbeats_seen: self.seen,
+            })
+        }
+    }
+
+    /// Accruement and Upper Bound through the reader while the refresh
+    /// sweep covers the table only part-way per step: every row shows its
+    /// detector's level at that row's own write time, write times never
+    /// go backwards, a level falls only after an accepted heartbeat, and
+    /// `published_at()` never claims more freshness than any row has.
+    #[test]
+    fn partial_sweep_keeps_accruement_and_upper_bound_through_the_reader() {
+        const PEERS: u32 = 7;
+        const BUDGET: usize = 3;
+        let cell = Arc::new(ShardCell::new(8));
+        let factory: DetectorFactory<NanosSinceHeartbeat> =
+            Box::new(|_| NanosSinceHeartbeat::default());
+        let mut shard = Shard::new(factory, Arc::clone(&cell));
+        let reader = SnapshotReader::from_cells(Arc::new(vec![cell]));
+        for id in 0..PEERS {
+            shard.watch(ProcessId::new(id));
+        }
+        // The model: heartbeats accepted per peer, and, per publish-call
+        // time, how many each peer had accepted by then.
+        let mut accepted = [0u64; PEERS as usize];
+        let mut calls: BTreeMap<u64, [u64; PEERS as usize]> = BTreeMap::new();
+        let mut last_write = [0u64; PEERS as usize];
+        let mut last_seen = [(0.0f64, 0u64); PEERS as usize];
+        let mut partial_views = 0usize;
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+
+        let mut t = 1_000u64;
+        shard.publish(Timestamp::from_nanos(t));
+        calls.insert(t, accepted);
+        let mut durable = Vec::with_capacity(8);
+        for step in 0..40u64 {
+            t += 1_000 + step * 7;
+            for id in 0..PEERS {
+                if next() % 5 == 0 {
+                    let hb = Heartbeat {
+                        sender: ProcessId::new(id),
+                        seq: accepted[id as usize] + 1,
+                        sent_at: Timestamp::ZERO,
+                    };
+                    assert!(shard.accept(hb, Timestamp::from_nanos(t)));
+                    accepted[id as usize] += 1;
+                }
+            }
+            // An epoch starts every other step; sweep steps run between.
+            if step % 2 == 0 {
+                t += 10;
+                shard.flush(Timestamp::from_nanos(t));
+                calls.insert(t, accepted);
+            }
+            t += 10;
+            shard.sweep(Timestamp::from_nanos(t), BUDGET);
+            calls.insert(t, accepted);
+
+            let levels = reader.snapshot();
+            reader.durable_shard(0, &mut durable).unwrap();
+            let watermark = reader.published_at().as_nanos();
+            assert_eq!(levels.len(), PEERS as usize);
+            let mut writes = Vec::with_capacity(PEERS as usize);
+            for ((p, level), (q, d)) in levels.iter().zip(&durable) {
+                assert_eq!(p, q);
+                let i = p.index();
+                let written = d.last_hb_nanos + level.value() as u64;
+                writes.push(written);
+                let Some(model) = calls.get(&written) else {
+                    panic!("{p}: level {} names no publish call", level.value());
+                };
+                // The row is its detector as of the write: exactly the
+                // heartbeats accepted before that call.
+                assert_eq!(d.heartbeats_seen, model[i], "{p} at {written}");
+                assert!(written >= last_write[i], "{p}: evaluation went back");
+                let (prev_level, prev_seen) = last_seen[i];
+                assert!(
+                    level.value() >= prev_level || d.heartbeats_seen > prev_seen,
+                    "{p}: level fell with no heartbeat"
+                );
+                assert!(watermark <= written, "{p}: watermark past a row");
+                last_write[i] = written;
+                last_seen[i] = (level.value(), d.heartbeats_seen);
+            }
+            if writes.iter().any(|&w| w != t) {
+                partial_views += 1;
+            }
+        }
+        assert!(partial_views > 10, "the sweep never left rows behind");
+        assert!(shard.rows_written.dirty > 0, "no dirty flush wrote a row");
+    }
+
+    #[test]
+    fn dirty_flush_publishes_accepted_rows_before_the_sweep() {
+        let cell = Arc::new(ShardCell::new(4));
+        let factory: DetectorFactory<NanosSinceHeartbeat> =
+            Box::new(|_| NanosSinceHeartbeat::default());
+        let mut shard = Shard::new(factory, Arc::clone(&cell));
+        let reader = SnapshotReader::from_cells(Arc::new(vec![cell]));
+        for id in 0..4 {
+            shard.watch(ProcessId::new(id));
+        }
+        shard.publish(Timestamp::from_nanos(100));
+        let hb = Heartbeat {
+            sender: ProcessId::new(2),
+            seq: 1,
+            sent_at: Timestamp::ZERO,
+        };
+        assert!(shard.accept(hb, Timestamp::from_nanos(150)));
+        shard.flush(Timestamp::from_nanos(200));
+        // The flush wrote only the accepted row; the rest wait for the
+        // sweep, and the watermark still covers them.
+        assert_eq!(reader.level(ProcessId::new(2)).unwrap().value(), 50.0);
+        assert_eq!(reader.level(ProcessId::new(1)).unwrap().value(), 100.0);
+        assert_eq!(reader.published_at(), Timestamp::from_nanos(100));
+        assert!(shard.sweeping());
+        assert_eq!(shard.sweep(Timestamp::from_nanos(300), 2), 2);
+        assert_eq!(reader.published_at(), Timestamp::from_nanos(100));
+        // Row 2 was written in this epoch, so the sweep skips it.
+        assert_eq!(shard.sweep(Timestamp::from_nanos(400), 2), 1);
+        assert!(!shard.sweeping());
+        assert_eq!(reader.level(ProcessId::new(2)).unwrap().value(), 50.0);
+        assert_eq!(reader.level(ProcessId::new(3)).unwrap().value(), 400.0);
+        assert_eq!(reader.published_at(), Timestamp::from_nanos(200));
+        let rows = shard.rows_written;
+        assert_eq!((rows.epochs, rows.dirty, rows.sweep), (2, 1, 4 + 3));
     }
 
     #[test]
